@@ -6,6 +6,8 @@
 //! sliders, toggling hidden helper shapes, undoing, and exporting SVG. Only
 //! pixel plotting is absent; all algorithmic code paths are identical.
 
+use std::collections::VecDeque;
+
 use sns_eval::{FreezeMode, Program};
 use sns_lang::{LocId, Subst};
 use sns_svg::{AttrRef, RenderOptions, Shape, ShapeId, Zone};
@@ -56,6 +58,10 @@ pub struct Slider {
     pub value: f64,
 }
 
+/// How many undo points the editor keeps; pushing past it drops the
+/// oldest, so a long-lived session's history stays bounded.
+pub const UNDO_DEPTH: usize = 100;
+
 /// Feedback from one in-flight drag movement.
 #[derive(Debug, Clone)]
 pub struct DragFeedback {
@@ -77,7 +83,8 @@ struct DragState {
 pub struct Editor {
     live: LiveSync,
     config: EditorConfig,
-    undo_stack: Vec<Program>,
+    /// Undo points, oldest first, at most [`UNDO_DEPTH`] of them.
+    undo_stack: VecDeque<Program>,
     redo_stack: Vec<Program>,
     drag: Option<DragState>,
 }
@@ -114,7 +121,7 @@ impl Editor {
         Ok(Editor {
             live,
             config,
-            undo_stack: Vec::new(),
+            undo_stack: VecDeque::new(),
             redo_stack: Vec::new(),
             drag: None,
         })
@@ -360,13 +367,14 @@ impl Editor {
     /// Fails when the new text does not parse, evaluate, or render.
     pub fn set_code(&mut self, source: &str) -> Result<(), EditorError> {
         let program = Program::parse(source)?;
-        self.push_undo();
+        let prev = self.live.program().clone();
         if let Err(e) = self.live.set_program_diffed(program) {
-            // Roll back the undo point for a program that never ran.
-            let prev = self.undo_stack.pop().expect("just pushed");
+            // A program that never ran leaves no undo point behind.
             let _ = self.live.replace_program(prev);
             return Err(e.into());
         }
+        self.push_undo_point(prev);
+        self.redo_stack.clear();
         Ok(())
     }
 
@@ -378,7 +386,7 @@ impl Editor {
     pub fn undo(&mut self) -> Result<(), EditorError> {
         let prev = self
             .undo_stack
-            .pop()
+            .pop_back()
             .ok_or_else(|| EditorError::action("nothing to undo"))?;
         let cur = self.live.program().clone();
         self.redo_stack.push(cur);
@@ -397,7 +405,7 @@ impl Editor {
             .pop()
             .ok_or_else(|| EditorError::action("nothing to redo"))?;
         let cur = self.live.program().clone();
-        self.undo_stack.push(cur);
+        self.push_undo_point(cur);
         self.live.set_program_diffed(next)?;
         Ok(())
     }
@@ -429,9 +437,18 @@ impl Editor {
         Ok(())
     }
 
+    /// Records the current program as an undo point before a new edit
+    /// (which also invalidates the redo history).
     fn push_undo(&mut self) {
-        self.undo_stack.push(self.live.program().clone());
+        self.push_undo_point(self.live.program().clone());
         self.redo_stack.clear();
+    }
+
+    fn push_undo_point(&mut self, program: Program) {
+        if self.undo_stack.len() == UNDO_DEPTH {
+            self.undo_stack.pop_front();
+        }
+        self.undo_stack.push_back(program);
     }
 
     /// Locations a color-number attribute of a shape could drive, exposing
@@ -469,13 +486,7 @@ impl Editor {
     /// output, best first (hard constraints, then soft constraints, then
     /// change magnitude).
     pub fn reconcile_edits(&self, edits: &[sns_sync::OutputEdit]) -> Vec<sns_sync::RankedUpdate> {
-        sns_sync::reconcile(
-            self.live.program(),
-            self.live.canvas(),
-            edits,
-            self.config.freeze_mode,
-            sns_sync::SynthesisOptions::default(),
-        )
+        sns_sync::reconcile(&self.live, edits, sns_sync::SynthesisOptions::default())
     }
 
     /// Applies the best-ranked reconciliation for a batch of output edits,
@@ -572,6 +583,26 @@ mod tests {
         assert_eq!(ed.code(), original);
         ed.redo().unwrap();
         assert_eq!(ed.code(), dragged);
+    }
+
+    #[test]
+    fn undo_history_is_bounded() {
+        let mut ed = Editor::new("(svg [(rect 'red' 10 20 30 40)])").unwrap();
+        for i in 0..=UNDO_DEPTH {
+            ed.drag_zone(ShapeId(0), Zone::Interior, 1.0, 0.0).unwrap();
+            assert_eq!(ed.undo_stack.len(), (i + 1).min(UNDO_DEPTH));
+        }
+        let newest = ed.code();
+        for _ in 0..UNDO_DEPTH {
+            ed.undo().unwrap();
+        }
+        assert!(ed.undo().is_err(), "the oldest undo point was dropped");
+        // The first commit's undo point went: the program is one drag on.
+        assert_eq!(ed.code(), "(svg [(rect 'red' 11 20 30 40)])");
+        for _ in 0..UNDO_DEPTH {
+            ed.redo().unwrap();
+        }
+        assert_eq!(ed.code(), newest);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod editor;
 pub mod error;
 
 pub use caption::{caption_for, idle_highlights, Caption, Highlight};
-pub use editor::{DragFeedback, Editor, EditorConfig, Slider};
+pub use editor::{DragFeedback, Editor, EditorConfig, Slider, UNDO_DEPTH};
 pub use error::EditorError;
 
 #[cfg(test)]

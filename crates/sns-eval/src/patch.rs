@@ -15,12 +15,43 @@
 //! trace node is visited at most once per patch pass.
 
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use sns_lang::{LocId, Subst};
 
 use crate::eval::apply_num_op;
 use crate::trace::Trace;
+
+/// Hasher for the memo tables, whose keys are trace-node addresses: they
+/// are distinct already, so one multiply-and-fold spreads them well enough
+/// and costs far less than the default SipHash on this hot path.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let x = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = x ^ (x >> 32);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+/// A memo table keyed by trace-node address.
+type AddrMap<V> = HashMap<usize, V, BuildHasherDefault<AddrHasher>>;
 
 /// Memoizing re-evaluator of traces under `ρ₀ ⊕ ρ` (base substitution
 /// plus local update), without materializing the merged map.
@@ -33,8 +64,8 @@ pub struct TracePatcher<'a> {
     base: &'a Subst,
     update: &'a Subst,
     changed: BTreeSet<LocId>,
-    dirty: HashMap<usize, bool>,
-    vals: HashMap<usize, f64>,
+    dirty: AddrMap<bool>,
+    vals: AddrMap<f64>,
 }
 
 impl<'a> TracePatcher<'a> {
@@ -46,21 +77,23 @@ impl<'a> TracePatcher<'a> {
             base,
             update,
             changed: update.domain().collect(),
-            dirty: HashMap::new(),
-            vals: HashMap::new(),
+            dirty: AddrMap::default(),
+            vals: AddrMap::default(),
         }
     }
 
     /// Whether the trace mentions any changed location (memoized).
     pub fn is_dirty(&mut self, t: &Arc<Trace>) -> bool {
+        let args = match &**t {
+            // Leaves are cheaper to test than to memoize.
+            Trace::Loc(l) => return self.changed.contains(l),
+            Trace::Op(_, args) => args,
+        };
         let key = Arc::as_ptr(t) as usize;
         if let Some(&d) = self.dirty.get(&key) {
             return d;
         }
-        let d = match &**t {
-            Trace::Loc(l) => self.changed.contains(l),
-            Trace::Op(_, args) => args.iter().any(|a| self.is_dirty(a)),
-        };
+        let d = args.iter().any(|a| self.is_dirty(a));
         self.dirty.insert(key, d);
         d
     }

@@ -6,11 +6,11 @@
 //! how to evaluate itself and how to apply local updates.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use sns_lang::{
-    loc_names, parse_with_locs, program_subst, unparse, Expr, FreezeAnnotation, LocId, ParseError,
-    Pat, Subst,
+    loc_names, parse_with_locs, program_subst, unparse, unparse_with, Expr, FreezeAnnotation,
+    LocId, ParseError, Pat, Subst,
 };
 
 use crate::env::Env;
@@ -77,15 +77,22 @@ impl FreezeMode {
     }
 }
 
-fn prelude_template() -> &'static (Expr, u32) {
-    static TEMPLATE: OnceLock<(Expr, u32)> = OnceLock::new();
+/// The parsed Prelude, shared by every [`Program`] until a substitution
+/// touches one of its locations.
+fn prelude_template() -> &'static (Arc<Expr>, u32) {
+    static TEMPLATE: OnceLock<(Arc<Expr>, u32)> = OnceLock::new();
     TEMPLATE.get_or_init(|| {
         let parsed = sns_lang::parse(PRELUDE_SRC).expect("the embedded Prelude must always parse");
-        (parsed.expr, parsed.next_loc)
+        (Arc::new(parsed.expr), parsed.next_loc)
     })
 }
 
 /// A complete program: Prelude + user code.
+///
+/// The Prelude AST and the location table are shared (`Arc`) between
+/// clones, so cloning a program — an undo snapshot, a preview — copies
+/// only the user expression. [`Program::apply_subst`] copies the Prelude
+/// on write, and only when the substitution binds a Prelude location.
 ///
 /// # Examples
 ///
@@ -98,11 +105,11 @@ fn prelude_template() -> &'static (Expr, u32) {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Program {
-    prelude_expr: Expr,
+    prelude_expr: Arc<Expr>,
     user_expr: Expr,
     prelude_next_loc: u32,
     next_loc: u32,
-    loc_info: HashMap<LocId, LocInfo>,
+    loc_info: Arc<HashMap<LocId, LocInfo>>,
     limits: Limits,
 }
 
@@ -131,12 +138,12 @@ impl Program {
     pub fn parse_without_prelude(user_src: &str) -> Result<Program, ParseError> {
         let user = sns_lang::parse(user_src)?;
         // A trivial prelude: a single dummy literal that binds nothing.
-        let prelude_expr = Expr::Bool(true);
+        let prelude_expr = Arc::new(Expr::Bool(true));
         Ok(Self::assemble(prelude_expr, 0, user.expr, user.next_loc))
     }
 
     fn assemble(
-        prelude_expr: Expr,
+        prelude_expr: Arc<Expr>,
         prelude_next_loc: u32,
         user_expr: Expr,
         next_loc: u32,
@@ -146,7 +153,7 @@ impl Program {
             user_expr,
             prelude_next_loc,
             next_loc,
-            loc_info: HashMap::new(),
+            loc_info: Arc::default(),
             limits: Limits::default(),
         };
         program.rebuild_loc_info();
@@ -157,7 +164,7 @@ impl Program {
         let mut info = HashMap::new();
         let mut names = loc_names(&self.prelude_expr);
         names.extend(loc_names(&self.user_expr));
-        for (expr, prelude) in [(&self.prelude_expr, true), (&self.user_expr, false)] {
+        for (expr, prelude) in [(&*self.prelude_expr, true), (&self.user_expr, false)] {
             expr.walk(&mut |e| {
                 if let Expr::Num(n) = e {
                     info.insert(
@@ -172,7 +179,7 @@ impl Program {
                 }
             });
         }
-        self.loc_info = info;
+        self.loc_info = Arc::new(info);
     }
 
     /// Overrides the evaluation resource limits.
@@ -236,11 +243,12 @@ impl Program {
     }
 
     /// Applies a local update to the program (both user code and, when the
-    /// update mentions Prelude locations, the Prelude copy).
+    /// update mentions Prelude locations, this program's own copy of the
+    /// Prelude — other clones keep theirs).
     pub fn apply_subst(&mut self, rho: &Subst) {
         rho.apply(&mut self.user_expr);
         if rho.domain().any(|l| self.is_prelude_loc(l)) {
-            rho.apply(&mut self.prelude_expr);
+            rho.apply(Arc::make_mut(&mut self.prelude_expr));
         }
     }
 
@@ -254,6 +262,12 @@ impl Program {
     /// The current user-program source text.
     pub fn code(&self) -> String {
         unparse(&self.user_expr)
+    }
+
+    /// The user-program source text as it would read with `rho` applied:
+    /// `self.with_subst(rho).code()` without copying the program.
+    pub fn code_with(&self, rho: &Subst) -> String {
+        unparse_with(&self.user_expr, rho)
     }
 
     /// Evaluates the program: Prelude definitions first, then user code.
@@ -400,6 +414,39 @@ mod tests {
         p.apply_subst(&rho);
         assert_eq!(p.code(), "(def sep 52.5) (* 2 sep)");
         assert_eq!(p.eval().unwrap().as_num().unwrap().0, 105.0);
+    }
+
+    #[test]
+    fn clones_share_the_prelude_until_a_prelude_location_changes() {
+        let original = Program::parse("(def x 3) (zeroTo x)").unwrap();
+        let mode = FreezeMode::nothing_frozen();
+        let prelude_loc = (0..original.next_loc())
+            .map(LocId)
+            .find(|&l| original.is_prelude_loc(l) && !original.is_frozen(l, mode))
+            .expect("the Prelude has literals");
+        let rho0 = original.subst();
+        let prelude_code = unparse(original.prelude_expr());
+
+        // A user-only update leaves the Prelude shared.
+        let mut edited = original.clone();
+        let x = LocId(original.next_loc() - 1);
+        edited.apply_subst(&Subst::from_pairs([(x, 4.0)]));
+        assert!(std::ptr::eq(original.prelude_expr(), edited.prelude_expr()));
+
+        // A Prelude update copies it, for the edited clone only.
+        let old = rho0.get(prelude_loc).unwrap();
+        edited.apply_subst(&Subst::from_pairs([(prelude_loc, old + 7.0)]));
+        assert!(!std::ptr::eq(
+            original.prelude_expr(),
+            edited.prelude_expr()
+        ));
+        assert_eq!(edited.subst().get(prelude_loc), Some(old + 7.0));
+        assert_eq!(original.subst(), rho0);
+        assert_eq!(unparse(original.prelude_expr()), prelude_code);
+        assert_eq!(unparse(prelude_template().0.as_ref()), prelude_code);
+        // A fresh parse still starts from the pristine template.
+        let fresh = Program::parse("(def x 3) (zeroTo x)").unwrap();
+        assert_eq!(fresh.subst(), rho0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Deterministic fault injection for the sns journal and replication layers.
 //!
-//! A [`FaultPlan`] is a small set of rules parsed from a spec string, e.g.
+//! A `FaultPlan` is a small set of rules parsed from a spec string, e.g.
 //!
 //! ```text
 //! journal.write=enospc@4..12;repl.send=drop@p10;journal.rename=fail@1
@@ -14,15 +14,21 @@
 //! interleaving of hits.
 //!
 //! Injection is compiled in only for debug builds (`debug_assertions`):
-//! in release builds [`Faults::decide`] is a constant `None` that the
-//! optimizer erases, so production binaries carry no fault-injection
+//! the plan grammar, its parser, and the decision logic live in a module
+//! that release builds leave out entirely. There [`Faults::decide`] is a
+//! constant `None` that the optimizer erases and [`Faults::from_spec`]
+//! refuses every spec, so production binaries carry no fault-injection
 //! overhead and cannot be armed.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+#[cfg(debug_assertions)]
+use std::sync::Arc;
+
+#[cfg(debug_assertions)]
+mod plan;
+#[cfg(debug_assertions)]
+pub use plan::FaultPlan;
 
 /// True when fault injection is compiled into this build (debug builds only).
 pub const COMPILED_IN: bool = cfg!(debug_assertions);
@@ -50,204 +56,58 @@ pub enum FaultAction {
     Refuse,
 }
 
-impl FaultAction {
-    fn parse(s: &str) -> Result<FaultAction, String> {
-        if let Some(ms) = s.strip_prefix("delay:") {
-            let ms: u64 = ms
-                .parse()
-                .map_err(|_| format!("bad delay milliseconds in {s:?}"))?;
-            return Ok(FaultAction::Delay(ms));
-        }
-        match s {
-            "fail" => Ok(FaultAction::Fail),
-            "enospc" => Ok(FaultAction::Enospc),
-            "short" => Ok(FaultAction::Short),
-            "drop" => Ok(FaultAction::Drop),
-            "truncate" => Ok(FaultAction::Truncate),
-            "refuse" => Ok(FaultAction::Refuse),
-            _ => Err(format!(
-                "unknown fault action {s:?} (expected fail|enospc|short|drop|truncate|refuse|delay:MS)"
-            )),
-        }
-    }
-}
-
-/// Which hits of an injection point a rule applies to. Hits are 1-based.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Trigger {
-    /// Every hit.
-    Always,
-    /// Exactly the Nth hit.
-    Nth(u64),
-    /// Hits `lo..=hi` (`hi == u64::MAX` for an open range `lo..`).
-    Window(u64, u64),
-    /// Each hit independently with this percent probability, seeded.
-    Percent(u8),
-}
-
-impl Trigger {
-    fn parse(s: &str) -> Result<Trigger, String> {
-        if let Some(p) = s.strip_prefix('p') {
-            let p: u8 = p.parse().map_err(|_| format!("bad percent in {s:?}"))?;
-            if p > 100 {
-                return Err(format!("percent trigger {p} out of range 0..=100"));
-            }
-            return Ok(Trigger::Percent(p));
-        }
-        if let Some((lo, hi)) = s.split_once("..") {
-            let lo: u64 = lo
-                .parse()
-                .map_err(|_| format!("bad range start in {s:?}"))?;
-            let hi: u64 = if hi.is_empty() {
-                u64::MAX
-            } else {
-                hi.parse().map_err(|_| format!("bad range end in {s:?}"))?
-            };
-            if lo == 0 || hi < lo {
-                return Err(format!("bad hit range in {s:?} (hits are 1-based)"));
-            }
-            return Ok(Trigger::Window(lo, hi));
-        }
-        let n: u64 = s.parse().map_err(|_| format!("bad hit number in {s:?}"))?;
-        if n == 0 {
-            return Err("hit numbers are 1-based".to_string());
-        }
-        Ok(Trigger::Nth(n))
-    }
-
-    fn fires(&self, seed: u64, point: &str, hit: u64) -> bool {
-        match *self {
-            Trigger::Always => true,
-            Trigger::Nth(n) => hit == n,
-            Trigger::Window(lo, hi) => hit >= lo && hit <= hi,
-            Trigger::Percent(p) => {
-                let mut rng = SplitMix64::seed_from_u64(seed ^ fnv1a(point.as_bytes()) ^ hit);
-                (rng.next_u64() % 100) < u64::from(p)
-            }
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Rule {
-    point: String,
-    action: FaultAction,
-    trigger: Trigger,
-}
-
-/// A parsed, seeded set of fault rules with per-point hit counters.
-#[derive(Debug)]
-pub struct FaultPlan {
-    seed: u64,
-    rules: Vec<Rule>,
-    hits: Mutex<HashMap<String, u64>>,
-    fired: AtomicU64,
-}
-
-impl FaultPlan {
-    /// Parses a plan from a spec string: `;`-separated rules of the form
-    /// `point=action[@trigger]`, plus an optional `seed=N` entry.
-    ///
-    /// Triggers: `@N` (exactly the Nth hit), `@N..` (from the Nth on),
-    /// `@N..M` (a closed window), `@pP` (each hit with P% probability,
-    /// seeded). No trigger means every hit.
-    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
-        let mut seed = 0u64;
-        let mut rules = Vec::new();
-        for part in spec.split(';') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("fault rule {part:?} is missing '='"))?;
-            let key = key.trim();
-            let value = value.trim();
-            if key == "seed" {
-                seed = value
-                    .parse()
-                    .map_err(|_| format!("bad seed value {value:?}"))?;
-                continue;
-            }
-            let (action, trigger) = match value.split_once('@') {
-                Some((a, t)) => (FaultAction::parse(a)?, Trigger::parse(t)?),
-                None => (FaultAction::parse(value)?, Trigger::Always),
-            };
-            rules.push(Rule {
-                point: key.to_string(),
-                action,
-                trigger,
-            });
-        }
-        Ok(FaultPlan {
-            seed,
-            rules,
-            hits: Mutex::new(HashMap::new()),
-            fired: AtomicU64::new(0),
-        })
-    }
-
-    /// Records a hit at `point` and returns the action to take, if any.
-    fn decide(&self, point: &str) -> Option<FaultAction> {
-        let hit = {
-            let mut hits = self.hits.lock().unwrap_or_else(|e| e.into_inner());
-            let h = hits.entry(point.to_string()).or_insert(0);
-            *h += 1;
-            *h
-        };
-        for rule in &self.rules {
-            if rule.point == point && rule.trigger.fires(self.seed, point, hit) {
-                self.fired.fetch_add(1, Ordering::Relaxed);
-                return Some(rule.action);
-            }
-        }
-        None
-    }
-
-    /// How many hits `point` has recorded so far.
-    pub fn hits(&self, point: &str) -> u64 {
-        let hits = self.hits.lock().unwrap_or_else(|e| e.into_inner());
-        hits.get(point).copied().unwrap_or(0)
-    }
-
-    /// How many rule firings the plan has produced so far.
-    pub fn fired(&self) -> u64 {
-        self.fired.load(Ordering::Relaxed)
-    }
-}
-
-/// A cheap, cloneable handle to an optional [`FaultPlan`].
+/// A cheap, cloneable handle to an optional fault plan.
 ///
 /// The default handle is disarmed and [`Faults::decide`] returns `None`
-/// without taking any lock. In release builds `decide` is a constant `None`
-/// regardless of arming, so instrumented call sites compile to no-ops.
+/// without taking any lock. Release builds carry no plan at all: `decide`
+/// is a constant `None`, so instrumented call sites compile to no-ops.
 #[derive(Debug, Clone, Default)]
-pub struct Faults(Option<Arc<FaultPlan>>);
+pub struct Faults(#[cfg(debug_assertions)] Option<Arc<FaultPlan>>);
 
 impl Faults {
     /// A disarmed handle; every decision is `None`.
     pub fn disabled() -> Faults {
-        Faults(None)
+        Faults::default()
     }
 
-    /// Arms a handle with the given plan. Fails in release builds, where
+    /// Arms a handle with the given plan.
+    #[cfg(debug_assertions)]
+    pub fn armed(plan: FaultPlan) -> Faults {
+        Faults(Some(Arc::new(plan)))
+    }
+
+    /// Parses `spec` and arms a handle with it.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a malformed spec, and always in release builds, where
     /// injection is compiled out — arming there would silently do nothing.
-    pub fn armed(plan: FaultPlan) -> Result<Faults, String> {
-        if !COMPILED_IN {
-            return Err("fault injection is compiled out of release builds".to_string());
-        }
-        Ok(Faults(Some(Arc::new(plan))))
+    #[cfg(debug_assertions)]
+    pub fn from_spec(spec: &str) -> Result<Faults, String> {
+        Ok(Faults::armed(FaultPlan::parse(spec)?))
     }
 
-    /// Parses `spec` and arms a handle with it. See [`Faults::armed`].
-    pub fn from_spec(spec: &str) -> Result<Faults, String> {
-        Faults::armed(FaultPlan::parse(spec)?)
+    /// Release builds: fault injection is compiled out, so every spec is
+    /// refused.
+    ///
+    /// # Errors
+    ///
+    /// Always.
+    #[cfg(not(debug_assertions))]
+    pub fn from_spec(_spec: &str) -> Result<Faults, String> {
+        Err("fault injection is compiled out of release builds".to_string())
     }
 
     /// True when this handle carries an armed plan.
+    #[cfg(debug_assertions)]
     pub fn is_armed(&self) -> bool {
         self.0.is_some()
+    }
+
+    /// Release builds: never armed.
+    #[cfg(not(debug_assertions))]
+    pub fn is_armed(&self) -> bool {
+        false
     }
 
     /// Records a hit at `point` and returns the action to take, if any.
@@ -264,6 +124,7 @@ impl Faults {
     }
 
     /// The underlying plan, for harnesses that inspect hit counts.
+    #[cfg(debug_assertions)]
     pub fn plan(&self) -> Option<&FaultPlan> {
         self.0.as_deref()
     }
@@ -313,19 +174,11 @@ impl SplitMix64 {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    #[cfg(debug_assertions)]
     #[test]
     fn parse_rejects_garbage() {
         assert!(FaultPlan::parse("journal.write").is_err());
@@ -336,6 +189,7 @@ mod tests {
         assert!(FaultPlan::parse("seed=notanumber").is_err());
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     fn nth_and_window_triggers() {
         let plan = FaultPlan::parse("a=fail@2;b=enospc@3..4").unwrap();
@@ -352,6 +206,7 @@ mod tests {
         assert_eq!(plan.fired(), 3);
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     fn open_range_and_delay() {
         let plan = FaultPlan::parse("x=delay:25@2..").unwrap();
@@ -361,6 +216,7 @@ mod tests {
         }
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     fn percent_is_deterministic_per_seed() {
         let a = FaultPlan::parse("seed=7;p=drop@p40").unwrap();
@@ -386,5 +242,12 @@ mod tests {
         assert!(f.is_armed());
         assert_eq!(f.decide("q"), Some(FaultAction::Refuse));
         assert_eq!(f.decide("q"), None);
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn release_builds_refuse_every_plan() {
+        assert!(Faults::from_spec("q=refuse@1").is_err());
+        assert!(!Faults::disabled().is_armed());
     }
 }

@@ -55,4 +55,4 @@ pub use error::{ParseError, Pos};
 pub use names::{display_loc, loc_names};
 pub use parser::{parse, parse_with_locs, Parsed};
 pub use subst::{program_subst, Subst};
-pub use unparse::{unparse, unparse_num, unparse_pat};
+pub use unparse::{unparse, unparse_num, unparse_pat, unparse_with};

@@ -13,6 +13,7 @@
 
 use crate::ast::{Expr, FreezeAnnotation, LetStyle, NumLit, Pat};
 use crate::fmt_num;
+use crate::subst::Subst;
 
 /// Renders an expression as `little` source text.
 ///
@@ -24,7 +25,26 @@ use crate::fmt_num;
 /// ```
 pub fn unparse(expr: &Expr) -> String {
     let mut out = String::new();
-    write_expr(&mut out, expr, true);
+    write_expr(&mut out, expr, true, None);
+    out
+}
+
+/// Renders `expr` as if `rho` had been applied to it first: equal to
+/// `unparse(&rho.applied(expr))`, without copying the AST. This is how a
+/// drag previews the updated program text.
+///
+/// # Examples
+///
+/// ```
+/// use sns_lang::{parse, unparse_with, LocId, Subst};
+///
+/// let parsed = parse("(+ 50 (* 2 30))").unwrap();
+/// let rho = Subst::from_pairs([(LocId(2), 52.5)]);
+/// assert_eq!(unparse_with(&parsed.expr, &rho), "(+ 50 (* 2 52.5))");
+/// ```
+pub fn unparse_with(expr: &Expr, rho: &Subst) -> String {
+    let mut out = String::new();
+    write_expr(&mut out, expr, true, Some(rho));
     out
 }
 
@@ -37,20 +57,27 @@ pub fn unparse_pat(pat: &Pat) -> String {
 
 /// Renders a numeric literal with its annotations, e.g. `12!{3-30}`.
 pub fn unparse_num(n: &NumLit) -> String {
-    let mut s = fmt_num(n.value);
+    let mut s = String::new();
+    write_num(&mut s, n, n.value);
+    s
+}
+
+/// Writes literal `n` with `value` in place of its own, keeping its
+/// annotations.
+fn write_num(out: &mut String, n: &NumLit, value: f64) {
+    out.push_str(&fmt_num(value));
     match n.annotation {
         FreezeAnnotation::None => {}
-        FreezeAnnotation::Frozen => s.push('!'),
-        FreezeAnnotation::Thawed => s.push('?'),
+        FreezeAnnotation::Frozen => out.push('!'),
+        FreezeAnnotation::Thawed => out.push('?'),
     }
     if let Some((lo, hi)) = n.range {
-        s.push('{');
-        s.push_str(&fmt_num(lo));
-        s.push('-');
-        s.push_str(&fmt_num(hi));
-        s.push('}');
+        out.push('{');
+        out.push_str(&fmt_num(lo));
+        out.push('-');
+        out.push_str(&fmt_num(hi));
+        out.push('}');
     }
-    s
 }
 
 fn escape_str(s: &str) -> String {
@@ -69,10 +96,11 @@ fn escape_str(s: &str) -> String {
 }
 
 /// `top` is true only in def-sequence position, where `(def p e) rest` is
-/// printed as consecutive forms rather than nested parens.
-fn write_expr(out: &mut String, expr: &Expr, top: bool) {
+/// printed as consecutive forms rather than nested parens. `rho`, when
+/// given, overrides the value of every literal whose location it binds.
+fn write_expr(out: &mut String, expr: &Expr, top: bool, rho: Option<&Subst>) {
     match expr {
-        Expr::Num(n) => out.push_str(&unparse_num(n)),
+        Expr::Num(n) => write_num(out, n, rho.and_then(|r| r.get(n.loc)).unwrap_or(n.value)),
         Expr::Str(s) => out.push_str(&escape_str(s)),
         Expr::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Expr::Var(x) => out.push_str(x),
@@ -82,11 +110,11 @@ fn write_expr(out: &mut String, expr: &Expr, top: bool) {
                 if i > 0 {
                     out.push(' ');
                 }
-                write_expr(out, e, false);
+                write_expr(out, e, false, rho);
             }
             if let Some(t) = tail {
                 out.push('|');
-                write_expr(out, t, false);
+                write_expr(out, t, false, rho);
             }
             out.push(']');
         }
@@ -106,15 +134,15 @@ fn write_expr(out: &mut String, expr: &Expr, top: bool) {
                 out.push(')');
             }
             out.push(' ');
-            write_expr(out, body, false);
+            write_expr(out, body, false, rho);
             out.push(')');
         }
         Expr::App(head, args) => {
             out.push('(');
-            write_expr(out, head, false);
+            write_expr(out, head, false, rho);
             for a in args {
                 out.push(' ');
-                write_expr(out, a, false);
+                write_expr(out, a, false, rho);
             }
             out.push(')');
         }
@@ -123,7 +151,7 @@ fn write_expr(out: &mut String, expr: &Expr, top: bool) {
             out.push_str(op.name());
             for a in args {
                 out.push(' ');
-                write_expr(out, a, false);
+                write_expr(out, a, false, rho);
             }
             out.push(')');
         }
@@ -141,38 +169,38 @@ fn write_expr(out: &mut String, expr: &Expr, top: bool) {
                 out.push(' ');
                 write_pat(out, pat);
                 out.push(' ');
-                write_expr(out, bound, false);
+                write_expr(out, bound, false, rho);
                 out.push_str(") ");
-                write_expr(out, body, true);
+                write_expr(out, body, true, rho);
             } else {
                 out.push('(');
                 out.push_str(if *recursive { "letrec" } else { "let" });
                 out.push(' ');
                 write_pat(out, pat);
                 out.push(' ');
-                write_expr(out, bound, false);
+                write_expr(out, bound, false, rho);
                 out.push(' ');
-                write_expr(out, body, false);
+                write_expr(out, body, false, rho);
                 out.push(')');
             }
         }
         Expr::If(c, t, e) => {
             out.push_str("(if ");
-            write_expr(out, c, false);
+            write_expr(out, c, false, rho);
             out.push(' ');
-            write_expr(out, t, false);
+            write_expr(out, t, false, rho);
             out.push(' ');
-            write_expr(out, e, false);
+            write_expr(out, e, false, rho);
             out.push(')');
         }
         Expr::Case(scrut, branches) => {
             out.push_str("(case ");
-            write_expr(out, scrut, false);
+            write_expr(out, scrut, false, rho);
             for (p, e) in branches {
                 out.push_str(" (");
                 write_pat(out, p);
                 out.push(' ');
-                write_expr(out, e, false);
+                write_expr(out, e, false, rho);
                 out.push(')');
             }
             out.push(')');
@@ -265,6 +293,15 @@ mod tests {
         assert_eq!(unparse(&e), "0.5?");
         let e = parse("5{0-10}").unwrap().expr;
         assert_eq!(unparse(&e), "5{0-10}");
+    }
+
+    #[test]
+    fn unparse_with_overrides_bound_literals_only() {
+        let e = parse("(def x 5!{0-10}) [x 7 x]").unwrap().expr;
+        let rho = crate::Subst::from_pairs([(crate::LocId(0), 8.5), (crate::LocId(9), 1.0)]);
+        assert_eq!(unparse_with(&e, &rho), "(def x 8.5!{0-10}) [x 7 x]");
+        assert_eq!(unparse_with(&e, &rho), unparse(&rho.applied(&e)));
+        assert_eq!(unparse_with(&e, &crate::Subst::new()), unparse(&e));
     }
 
     #[test]

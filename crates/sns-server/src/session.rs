@@ -65,9 +65,11 @@ struct JournalGuard {
 }
 
 impl JournalGuard {
-    fn finish(mut self, code: Option<&str>) {
+    /// Reports a successful apply. `code` renders the post-apply program
+    /// text, and runs only when a backend is attached to receive it.
+    fn succeeded(mut self, code: impl FnOnce() -> String) {
         if let Some((backend, id)) = self.pending.take() {
-            backend.applied(&id, code);
+            backend.applied(&id, Some(&code()));
         }
     }
 }
@@ -190,6 +192,8 @@ impl Session {
     /// The journal-before-apply contract, in one place: append the
     /// record, run the editor mutation, report the outcome (post-apply
     /// code on success, failure otherwise — panic-safe via the guard).
+    /// Without a backend nothing is journaled and the code is never
+    /// unparsed.
     fn journaled_apply<T>(
         &mut self,
         op: MutOp<'_>,
@@ -209,9 +213,10 @@ impl Session {
         match &result {
             Ok(_) => {
                 stamp_current(Stage::PrepareDone);
-                guard.finish(Some(&self.editor.code()));
+                guard.succeeded(|| self.editor.code());
             }
-            Err(_) => guard.finish(None),
+            // Dropping the guard reports the failed apply.
+            Err(_) => drop(guard),
         }
         result.map_err(|e| SessionError::bad(e.to_string()))
     }
@@ -358,7 +363,7 @@ impl Session {
     /// The program text as it would read if the in-flight drag committed —
     /// the live-updating code pane of the paper's editor.
     fn preview_code(&self, subst: &sns_lang::Subst) -> String {
-        self.editor.program().with_subst(subst).code()
+        self.editor.program().code_with(subst)
     }
 
     /// Commits the in-flight drag (mouse-up): journals the pending update,

@@ -96,11 +96,35 @@ impl Canvas {
         &self,
         patch: &mut dyn FnMut(f64, &std::sync::Arc<sns_eval::Trace>) -> Option<f64>,
     ) -> Option<Canvas> {
-        let mut root = self.root.clone();
-        crate::node::patch_node_nums(&mut root, patch)?;
-        let mut shapes = Vec::new();
-        collect_shapes(&root, &mut shapes);
-        Some(Canvas { root, shapes })
+        let mut canvas = self.clone();
+        canvas.patch_in_place(patch).then_some(canvas)
+    }
+
+    /// Rewrites every traced number of this canvas through `patch`, as
+    /// [`Canvas::patched`] does to a copy. On `false` some numbers may
+    /// already be rewritten: check with [`Canvas::patches`] first, or
+    /// rebuild the canvas from a full re-evaluation.
+    pub fn patch_in_place(
+        &mut self,
+        patch: &mut dyn FnMut(f64, &std::sync::Arc<sns_eval::Trace>) -> Option<f64>,
+    ) -> bool {
+        // Shapes hold copies of the root's subtrees (with the same traces,
+        // so a memoizing `patch` serves them from its tables).
+        crate::node::patch_node_nums(&mut self.root, patch).is_some()
+            && self
+                .shapes
+                .iter_mut()
+                .all(|s| crate::node::patch_node_nums(&mut s.node, patch).is_some())
+    }
+
+    /// Whether every traced number of the canvas patches through `patch`,
+    /// i.e. whether [`Canvas::patched`] would succeed — decided by walking
+    /// the tree in place, without building the patched copy.
+    pub fn patches(
+        &self,
+        patch: &mut dyn FnMut(f64, &std::sync::Arc<sns_eval::Trace>) -> Option<f64>,
+    ) -> bool {
+        crate::node::check_node_nums(&self.root, patch).is_some()
     }
 
     /// Every traced number in every shape's attributes, in canvas order —
@@ -198,6 +222,37 @@ mod tests {
     fn patch_failure_propagates() {
         let c = canvas_of("(svg [(rect 'a' 1 2 3 4)])");
         assert!(c.patched(&mut |_, _| None).is_none());
+        assert!(!c.patches(&mut |_, _| None));
+    }
+
+    #[test]
+    fn patches_agrees_with_patched() {
+        let c = canvas_of(
+            "(svg [(rect 'a' 1 2 3 4) ['polygon' [['points' [[5 6] [7 8]]] ['fill' [1 2 3 4]]] []] \
+             ['path' [['d' ['M' 9 10 'L' 11 12]] ['transform' [['rotate' 13 14 15]]]] []]])",
+        );
+        assert!(c.patches(&mut |n, _| Some(n)));
+        assert!(c.patched(&mut |n, _| Some(n)).is_some());
+        // Failing on any one number — wherever it sits in the tree — fails
+        // both, so every kind of traced attribute is visited.
+        for k in 1..=15 {
+            let mut fail_on_k =
+                |n: f64, _: &std::sync::Arc<sns_eval::Trace>| (n != f64::from(k)).then_some(n);
+            assert!(!c.patches(&mut fail_on_k), "{k} not visited");
+            assert!(c.patched(&mut fail_on_k).is_none(), "{k} not visited");
+        }
+    }
+
+    #[test]
+    fn in_place_patch_matches_the_patched_copy() {
+        let mut c = canvas_of("(svg [(rect 'a' 1 2 3 4) (circle 'b' 5 6 7)])");
+        let copy = c.patched(&mut |n, _| Some(n * 2.0)).unwrap();
+        assert!(c.patch_in_place(&mut |n, _| Some(n * 2.0)));
+        assert_eq!(
+            c.to_svg(RenderOptions::default()),
+            copy.to_svg(RenderOptions::default())
+        );
+        assert_eq!(c.shapes()[1].node.num_attr("r").unwrap().n, 14.0);
     }
 
     #[test]

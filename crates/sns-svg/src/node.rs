@@ -183,6 +183,49 @@ pub(crate) fn patch_node_nums(
     Some(())
 }
 
+/// Runs `patch` over every traced number in a node tree without modifying
+/// it — the read-only twin of [`patch_node_nums`]. `None` as soon as
+/// `patch` fails on any number.
+pub(crate) fn check_node_nums(
+    node: &SvgNode,
+    patch: &mut dyn FnMut(f64, &Arc<Trace>) -> Option<f64>,
+) -> Option<()> {
+    let mut check = |num: &NumTr| patch(num.n, &num.t).map(drop);
+    for (_, value) in &node.attrs {
+        match value {
+            AttrValue::Num(n) | AttrValue::ColorNum(n) => check(n)?,
+            AttrValue::Str(_) => {}
+            AttrValue::Points(pts) => {
+                for (x, y) in pts {
+                    check(x)?;
+                    check(y)?;
+                }
+            }
+            AttrValue::Rgba(comps) => {
+                for c in comps {
+                    check(c)?;
+                }
+            }
+            AttrValue::Path(cmds) => {
+                for a in cmds.iter().flat_map(|c| &c.args) {
+                    check(a)?;
+                }
+            }
+            AttrValue::Transform(cmds) => {
+                for a in cmds.iter().flat_map(|c| &c.args) {
+                    check(a)?;
+                }
+            }
+        }
+    }
+    for child in &node.children {
+        if let SvgChild::Node(n) = child {
+            check_node_nums(n, patch)?;
+        }
+    }
+    Some(())
+}
+
 /// An error converting a `little` value into SVG.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SvgError {

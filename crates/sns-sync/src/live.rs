@@ -21,9 +21,12 @@
 //!   of them leaves control flow, output structure, and every trace
 //!   unchanged;
 //! * **drag fast path** — instead of cloning the program and re-running
-//!   the interpreter per mouse-move, the cached canvas is *patched*: every
-//!   traced number whose trace mentions a changed location is re-evaluated
-//!   under the updated substitution ([`sns_eval::TracePatcher`]);
+//!   the interpreter per mouse-move, the drag re-evaluates, under the
+//!   updated substitution, every traced number of the cached canvas whose
+//!   trace mentions a changed location ([`sns_eval::TracePatcher`]). The
+//!   walk only confirms that the patch succeeds; a drag response carries
+//!   the substitution, not a canvas, so none is built
+//!   ([`LiveSync::preview_canvas`] builds one on request);
 //! * **incremental prepare** — with traces unchanged, candidate location
 //!   sets and heuristic choices are unchanged too, so a commit only needs
 //!   to refresh the attribute *base values* of zones whose traces mention
@@ -253,15 +256,14 @@ impl From<SvgError> for LiveError {
     }
 }
 
-/// The result of one in-flight drag step.
+/// The result of one in-flight drag step. The preview canvas is not part
+/// of it; [`LiveSync::preview_canvas`] builds that on request.
 #[derive(Debug, Clone)]
 pub struct DragResult {
     /// The local update inferred for this mouse position.
     pub subst: Subst,
     /// Attributes whose equations failed (red highlight).
     pub failures: Vec<sns_svg::AttrRef>,
-    /// The preview canvas after applying the update.
-    pub canvas: Canvas,
 }
 
 /// A live-synchronization session over one program.
@@ -318,6 +320,11 @@ impl LiveSync {
         &self.program
     }
 
+    /// The session's configuration.
+    pub fn config(&self) -> LiveConfig {
+        self.config
+    }
+
     /// The current canvas.
     pub fn canvas(&self) -> &Canvas {
         &self.canvas
@@ -334,8 +341,14 @@ impl LiveSync {
     }
 
     /// Simulates the mouse moving `(dx, dy)` while holding `zone` of
-    /// `shape`: fires the trigger and re-evaluates a preview. The session's
-    /// program is *not* modified — call [`LiveSync::commit`] on mouse-up.
+    /// `shape`: fires the trigger and checks that the updated program still
+    /// renders. The session's program is *not* modified — call
+    /// [`LiveSync::commit`] on mouse-up.
+    ///
+    /// On the fast and partial tiers the check walks the cached canvas
+    /// with the patcher and copies nothing; otherwise the updated program
+    /// is re-evaluated. Either way the outcome and the `fast_evals` /
+    /// `full_evals` counters match [`LiveSync::preview_canvas`].
     ///
     /// # Errors
     ///
@@ -352,12 +365,10 @@ impl LiveSync {
             .get(&(shape, zone))
             .ok_or(LiveError::NoTrigger { shape, zone })?;
         let TriggerFire { subst, failures } = trigger.fire(&self.rho0, dx, dy, self.config.solver);
-        let canvas = self.preview_canvas(&subst)?;
-        Ok(DragResult {
-            subst,
-            failures,
-            canvas,
-        })
+        if !self.preview_patches(&subst) {
+            self.full_preview(&subst)?;
+        }
+        Ok(DragResult { subst, failures })
     }
 
     /// Whether a substitution provably cannot change control flow because
@@ -434,7 +445,11 @@ impl LiveSync {
     /// The canvas after applying `subst`: patched from the cached canvas
     /// when control flow provably cannot change, rebuilt from a full
     /// re-evaluation otherwise.
-    fn preview_canvas(&self, subst: &Subst) -> Result<Canvas, LiveError> {
+    ///
+    /// # Errors
+    ///
+    /// Fails when the updated program does not evaluate to a canvas.
+    pub fn preview_canvas(&self, subst: &Subst) -> Result<Canvas, LiveError> {
         if self.patch_tier(subst).is_some() {
             let mut patcher = TracePatcher::new(&self.rho0, subst);
             if let Some(canvas) = self.canvas.patched(&mut |n, t| patcher.patch(n, t)) {
@@ -442,6 +457,27 @@ impl LiveSync {
                 return Ok(canvas);
             }
         }
+        self.full_preview(subst)
+    }
+
+    /// Whether a patch tier serves the preview of `subst`: the tier applies
+    /// and every number of the cached canvas patches. Counts a fast eval
+    /// when it does.
+    fn preview_patches(&self, subst: &Subst) -> bool {
+        if self.patch_tier(subst).is_none() {
+            return false;
+        }
+        let mut patcher = TracePatcher::new(&self.rho0, subst);
+        let patches = self.canvas.patches(&mut |n, t| patcher.patch(n, t));
+        if patches {
+            LiveCounters::bump(&self.counters.fast_evals);
+        }
+        patches
+    }
+
+    /// The preview rebuilt from a full re-evaluation of the updated
+    /// program.
+    fn full_preview(&self, subst: &Subst) -> Result<Canvas, LiveError> {
         LiveCounters::bump(&self.counters.full_evals);
         let preview = self.program.with_subst(subst);
         Ok(Canvas::from_value(&preview.eval()?)?)
@@ -469,13 +505,19 @@ impl LiveSync {
     ) -> Result<(), LiveError> {
         let tier = self.patch_tier(subst);
         if let Some(tier) = tier {
-            if let Some(canvas) = self.patched_commit_canvas(subst) {
+            if self.patch_canvas(subst) {
                 match replacement {
                     Some(program) => self.program = program,
                     None => self.program.apply_subst(subst),
                 }
-                self.canvas = canvas;
-                self.rho0 = self.program.subst();
+                // ρ₀ already binds every literal; the update only moves
+                // the ones it names.
+                for (loc, value) in subst.iter() {
+                    if self.rho0.contains(loc) {
+                        self.rho0.insert(loc, value);
+                    }
+                }
+                debug_assert_eq!(self.rho0, self.program.subst());
                 self.refresh_dirty_zones(subst);
                 match tier {
                     PatchTier::Fast => {
@@ -497,9 +539,12 @@ impl LiveSync {
         self.reprepare()
     }
 
-    fn patched_commit_canvas(&self, subst: &Subst) -> Option<Canvas> {
+    /// Patches the cached canvas under `subst` in place. Every number is
+    /// checked first, so `false` leaves the canvas untouched.
+    fn patch_canvas(&mut self, subst: &Subst) -> bool {
         let mut patcher = TracePatcher::new(&self.rho0, subst);
-        self.canvas.patched(&mut |n, t| patcher.patch(n, t))
+        let mut patch = |n, t: &Arc<Trace>| patcher.patch(n, t);
+        self.canvas.patches(&mut patch) && self.canvas.patch_in_place(&mut patch)
     }
 
     /// Incremental prepare: control flow is unchanged, so canvas
@@ -873,6 +918,10 @@ mod tests {
         LiveSync::new(Program::parse(src).unwrap(), LiveConfig::default()).unwrap()
     }
 
+    fn svg(canvas: &Canvas) -> String {
+        canvas.to_svg(sns_svg::RenderOptions::default())
+    }
+
     #[test]
     fn drag_preview_does_not_mutate_program() {
         let live = session(SINE_WAVE);
@@ -975,6 +1024,20 @@ mod tests {
     }
 
     #[test]
+    fn drag_checks_the_preview_without_building_it() {
+        let live = session(SINE_WAVE);
+        let result = live.drag(ShapeId(0), Zone::Interior, 45.0, 0.0).unwrap();
+        assert_eq!(live.stats().fast_evals, 1);
+        let preview = live.preview_canvas(&result.subst).unwrap();
+        assert_eq!(live.stats().fast_evals, 2);
+        assert_eq!(live.stats().full_evals, 0);
+        let rebuilt =
+            Canvas::from_value(&live.program().with_subst(&result.subst).eval().unwrap()).unwrap();
+        assert_eq!(svg(&preview), svg(&rebuilt));
+        assert_eq!(preview.shapes()[0].node.num_attr("x").unwrap().n, 95.0);
+    }
+
+    #[test]
     fn control_flow_locations_force_the_fallback() {
         use sns_lang::LocId;
         let mut live = session(SINE_WAVE);
@@ -1013,6 +1076,10 @@ mod tests {
                 .unwrap();
             let b = full.drag(ShapeId(shape), Zone::Interior, dx, dy).unwrap();
             assert_eq!(a.subst, b.subst);
+            assert_eq!(
+                svg(&incremental.preview_canvas(&a.subst).unwrap()),
+                svg(&full.preview_canvas(&b.subst).unwrap())
+            );
             incremental.commit(&a.subst).unwrap();
             full.commit(&b.subst).unwrap();
             assert_eq!(incremental.program().code(), full.program().code());
@@ -1101,6 +1168,10 @@ mod tests {
             let a = partial.drag(ShapeId(0), Zone::Interior, dx, 3.0).unwrap();
             let b = full.drag(ShapeId(0), Zone::Interior, dx, 3.0).unwrap();
             assert_eq!(a.subst, b.subst);
+            assert_eq!(
+                svg(&partial.preview_canvas(&a.subst).unwrap()),
+                svg(&full.preview_canvas(&b.subst).unwrap())
+            );
             partial.commit(&a.subst).unwrap();
             full.commit(&b.subst).unwrap();
             assert_eq!(partial.program().code(), full.program().code());

@@ -14,11 +14,11 @@
 //!    (the soft constraints of §3's table);
 //! 4. candidates are ranked best-first.
 
-use sns_eval::{FreezeMode, Program};
 use sns_lang::LocId;
 use sns_solver::Equation;
 use sns_svg::{resolve_attr, AttrRef, Canvas, ShapeId};
 
+use crate::live::LiveSync;
 use crate::synthesize::{synthesize_plausible, CandidateUpdate, SynthesisOptions};
 
 /// One user edit to the output: "attribute `attr` of shape `shape` should
@@ -82,20 +82,21 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= TOL * b.abs().max(1.0)
 }
 
-/// Reconciles a batch of output edits with the program: synthesizes
-/// candidate local updates, executes each, scores it against the hard and
-/// soft constraints, and returns candidates best-first.
+/// Reconciles a batch of output edits with a session's program:
+/// synthesizes candidate local updates (changing only constants the
+/// session's freeze mode leaves free), executes each through
+/// [`LiveSync::preview_canvas`], scores it against the hard and soft
+/// constraints, and returns candidates best-first.
 ///
 /// Ranking: faithful before plausible before neither; then by soft
 /// constraints preserved (descending); then by change magnitude
 /// (ascending); structure-changing candidates always rank last.
 pub fn reconcile(
-    program: &Program,
-    canvas: &Canvas,
+    live: &LiveSync,
     edits: &[OutputEdit],
-    mode: FreezeMode,
     options: SynthesisOptions,
 ) -> Vec<RankedUpdate> {
+    let (program, canvas) = (live.program(), live.canvas());
     // Hard constraints as value-trace equations.
     let mut equations = Vec::with_capacity(edits.len());
     for edit in edits {
@@ -107,21 +108,17 @@ pub fn reconcile(
         };
         equations.push(Equation::new(edit.new_value, std::sync::Arc::clone(&num.t)));
     }
+    let mode = live.config().freeze_mode;
     let frozen = |l: LocId| program.is_frozen(l, mode);
-    let candidates = synthesize_plausible(&program.subst(), &equations, &frozen, options);
-
     let rho0 = program.subst();
+    let candidates = synthesize_plausible(&rho0, &equations, &frozen, options);
+
     let original: Vec<Vec<(String, f64)>> = snapshot(canvas);
     let mut ranked = Vec::with_capacity(candidates.len());
     for update in candidates {
-        let updated = program.with_subst(&update.subst);
-        let judgment = match updated
-            .eval()
-            .ok()
-            .and_then(|v| Canvas::from_value(&v).ok())
-        {
-            None => ReconcileJudgment::StructureChanged,
-            Some(new_canvas) => judge_canvas(canvas, &new_canvas, &original, edits),
+        let judgment = match live.preview_canvas(&update.subst) {
+            Err(_) => ReconcileJudgment::StructureChanged,
+            Ok(new_canvas) => judge_canvas(canvas, &new_canvas, &original, edits),
         };
         let change_magnitude = update
             .subst
@@ -234,12 +231,20 @@ fn judge_canvas(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LiveConfig;
+    use sns_eval::{FreezeMode, Program};
     use sns_svg::Zone;
 
-    fn setup(src: &str) -> (Program, Canvas) {
-        let program = Program::parse(src).unwrap();
-        let canvas = Canvas::from_value(&program.eval().unwrap()).unwrap();
-        (program, canvas)
+    fn setup_with(src: &str, freeze_mode: FreezeMode) -> LiveSync {
+        let config = LiveConfig {
+            freeze_mode,
+            ..LiveConfig::default()
+        };
+        LiveSync::new(Program::parse(src).unwrap(), config).unwrap()
+    }
+
+    fn setup(src: &str) -> LiveSync {
+        setup_with(src, FreezeMode::default())
     }
 
     const TWO_BOXES: &str = r#"
@@ -252,21 +257,15 @@ mod tests {
     fn single_edit_ranks_soft_preserving_candidate_first() {
         // Editing the second box's x to 200 can change x0 (moves both
         // boxes: breaks a soft constraint) or sep (moves only box 2).
-        let (program, canvas) = setup(TWO_BOXES);
+        let live = setup(TWO_BOXES);
         let edits = [OutputEdit {
             shape: ShapeId(1),
             attr: AttrRef::Plain("x"),
             new_value: 200.0,
         }];
-        let ranked = reconcile(
-            &program,
-            &canvas,
-            &edits,
-            FreezeMode::default(),
-            SynthesisOptions::default(),
-        );
+        let ranked = reconcile(&live, &edits, SynthesisOptions::default());
         assert_eq!(ranked.len(), 2);
-        let best_name = program.display_loc(ranked[0].update.locs[0]);
+        let best_name = live.program().display_loc(ranked[0].update.locs[0]);
         assert_eq!(best_name, "sep", "sep preserves box 1's position");
         assert!(ranked[0].judgment.is_faithful());
         // Both candidates satisfy the hard constraint; the x0 one breaks a
@@ -286,7 +285,7 @@ mod tests {
     #[test]
     fn multi_edit_reconciliation_finds_a_faithful_update() {
         // Move *both* boxes right by 25: only x0 can do that faithfully.
-        let (program, canvas) = setup(TWO_BOXES);
+        let live = setup(TWO_BOXES);
         let edits = [
             OutputEdit {
                 shape: ShapeId(0),
@@ -299,19 +298,13 @@ mod tests {
                 new_value: 175.0,
             },
         ];
-        let ranked = reconcile(
-            &program,
-            &canvas,
-            &edits,
-            FreezeMode::default(),
-            SynthesisOptions::default(),
-        );
+        let ranked = reconcile(&live, &edits, SynthesisOptions::default());
         assert!(!ranked.is_empty());
         let best = &ranked[0];
         assert!(best.judgment.is_faithful(), "{:?}", best.judgment);
         assert_eq!(best.update.subst.len(), 1);
         let (loc, v) = best.update.subst.iter().next().unwrap();
-        assert_eq!(program.display_loc(loc), "x0");
+        assert_eq!(live.program().display_loc(loc), "x0");
         assert_eq!(v, 75.0);
     }
 
@@ -323,7 +316,7 @@ mod tests {
             (def x0 50)
             (svg [(rect 'red' x0 10 30 30) (rect 'blue' x0 60 30 30)])
         "#;
-        let (program, canvas) = setup(src);
+        let live = setup(src);
         let edits = [
             OutputEdit {
                 shape: ShapeId(0),
@@ -336,13 +329,7 @@ mod tests {
                 new_value: 90.0,
             },
         ];
-        let ranked = reconcile(
-            &program,
-            &canvas,
-            &edits,
-            FreezeMode::default(),
-            SynthesisOptions::default(),
-        );
+        let ranked = reconcile(&live, &edits, SynthesisOptions::default());
         assert!(!ranked.is_empty());
         assert!(!ranked[0].judgment.is_faithful());
         assert!(ranked[0].judgment.is_plausible());
@@ -356,19 +343,13 @@ mod tests {
             (def [x0 sep] [50 30])
             (svg (map (λ i (rect 'red' (+ x0 (* i sep)) 40 20 20)) (zeroTo 5)))
         "#;
-        let (program, canvas) = setup(src);
+        let live = setup_with(src, FreezeMode::nothing_frozen());
         let edits = [OutputEdit {
             shape: ShapeId(2),
             attr: AttrRef::Plain("x"),
             new_value: 155.0,
         }];
-        let ranked = reconcile(
-            &program,
-            &canvas,
-            &edits,
-            FreezeMode::nothing_frozen(),
-            SynthesisOptions::default(),
-        );
+        let ranked = reconcile(&live, &edits, SynthesisOptions::default());
         assert!(ranked.len() >= 3);
         assert!(!matches!(
             ranked[0].judgment,
@@ -384,21 +365,14 @@ mod tests {
     fn zone_attrs_and_reconcile_agree() {
         // Reconciling an Interior-equivalent edit matches what a drag
         // through the trigger machinery would produce.
-        let (program, canvas) = setup(TWO_BOXES);
-        let live = crate::LiveSync::new(program.clone(), crate::LiveConfig::default()).unwrap();
+        let live = setup(TWO_BOXES);
         let drag = live.drag(ShapeId(1), Zone::Interior, 50.0, 0.0).unwrap();
         let edits = [OutputEdit {
             shape: ShapeId(1),
             attr: AttrRef::Plain("x"),
             new_value: 200.0,
         }];
-        let ranked = reconcile(
-            &program,
-            &canvas,
-            &edits,
-            FreezeMode::default(),
-            SynthesisOptions::default(),
-        );
+        let ranked = reconcile(&live, &edits, SynthesisOptions::default());
         // The drag also solved the y equation (dy = 0 keeps y0 at 40); its
         // x solution must appear among the reconcile candidates.
         assert!(ranked.iter().any(|r| {

@@ -5,7 +5,9 @@
 //!
 //! Two sessions run the same program side by side: one with the default
 //! (incremental) configuration, one with `full_prepare_only`. After every
-//! drag the inferred substitutions must agree; after every commit the
+//! drag the inferred substitutions and the preview canvases must agree
+//! (the drag itself builds no canvas; `preview_canvas` does, through the
+//! same tier decision); after every commit the
 //! program text, the rendered canvas, every zone analysis (slots, bases,
 //! candidates, chosen index), and every trigger must agree.
 
@@ -13,7 +15,8 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use sns_eval::Program;
-use sns_svg::RenderOptions;
+use sns_lang::Subst;
+use sns_svg::{RenderOptions, ShapeId, Zone};
 use sns_sync::{LiveConfig, LiveSync, SetCodeClass};
 
 /// Deterministic SplitMix64 (same generator as `sns-stats`' harness).
@@ -93,6 +96,29 @@ fn fingerprint(live: &LiveSync) -> String {
     out
 }
 
+/// The preview canvas of `subst`, rendered with every numeric output's bit
+/// pattern, or the error's text when the preview does not render.
+fn preview_fingerprint(live: &LiveSync, subst: &Subst) -> Result<String, String> {
+    let canvas = live.preview_canvas(subst).map_err(|e| e.to_string())?;
+    let mut out = canvas.to_svg(RenderOptions::default());
+    for num in canvas.numeric_outputs() {
+        write!(out, " {:016x}", num.n.to_bits()).unwrap();
+    }
+    Ok(out)
+}
+
+/// A session that always takes the full re-evaluate + re-prepare path.
+fn full_session(program: Program) -> LiveSync {
+    LiveSync::new(
+        program,
+        LiveConfig {
+            full_prepare_only: true,
+            ..LiveConfig::default()
+        },
+    )
+    .expect("prepares")
+}
+
 #[test]
 fn incremental_prepare_matches_full_prepare_across_the_corpus() {
     sns_eval::with_big_stack(|| {
@@ -141,6 +167,12 @@ fn incremental_prepare_matches_full_prepare_across_the_corpus() {
                         assert_eq!(
                             a.subst, b.subst,
                             "{}: drag on {shape} {zone} inferred different updates",
+                            example.slug
+                        );
+                        assert_eq!(
+                            preview_fingerprint(&incremental, &a.subst),
+                            preview_fingerprint(&full, &b.subst),
+                            "{}: preview of the drag on {shape} {zone} differs",
                             example.slug
                         );
                         if incremental.control_flow_safe(&a.subst) {
@@ -288,6 +320,11 @@ fn escaped_drags_match_full_prepare_bitwise() {
                 (a, b) => panic!("drag outcomes diverged: {a:?} vs {b:?}"),
             };
             assert_eq!(a.subst, b.subst);
+            assert_eq!(
+                preview_fingerprint(&partial, &a.subst),
+                preview_fingerprint(&full, &b.subst),
+                "preview of the drag on {shape} {zone} differs"
+            );
             if !partial.control_flow_safe(&a.subst) {
                 escaped_drags += 1;
             }
@@ -315,6 +352,11 @@ fn escaped_drags_match_full_prepare_bitwise() {
             full.drag(shape, zone, 900.0, 0.0),
         ) {
             assert_eq!(a.subst, b.subst);
+            assert_eq!(
+                preview_fingerprint(&partial, &a.subst),
+                preview_fingerprint(&full, &b.subst),
+                "preview of a guard-flipping drag differs"
+            );
             partial.commit(&a.subst).unwrap();
             full.commit(&b.subst).unwrap();
             assert_eq!(
@@ -413,6 +455,102 @@ fn set_code_edits_match_full_replace_bitwise() {
             diffed.commit(&a.subst).unwrap();
             full.commit(&b.subst).unwrap();
             assert_eq!(fingerprint(&diffed), fingerprint(&full));
+        }
+    });
+}
+
+/// Guarded boxes whose height turns into a call of a number — an
+/// evaluation error — once the first box crosses x = 300: small drags stay
+/// on the fast/partial tiers, large ones flip the guard and fail.
+const FRAGILE_BOXES: &str = r#"
+    (def x0 40)
+    (def boxi (λ i
+      (let x (+ x0 (* i 30))
+      (let h (if (< x0 300!) 80 (x0 1))
+        (rect 'lightblue' x 50 10 h)))))
+    (svg (map boxi (zeroTo 6!)))
+"#;
+
+/// `drag` checks its preview without building it, so its Ok/Err outcome
+/// and its fast/full counters must match those of `preview_canvas` on a
+/// twin session — and the outcome must match the full reference path —
+/// on every tier: fast (safe corpus drags), partial (guard-preserving
+/// drags), and full (guard flips, including one into an evaluation error).
+#[test]
+fn drag_outcomes_match_the_full_path_across_tiers() {
+    sns_eval::with_big_stack(|| {
+        let mut sources: Vec<(&str, &str)> = ["wave_boxes", "three_boxes", "ferris_wheel"]
+            .iter()
+            .map(|slug| (*slug, sns_examples::by_slug(slug).unwrap().source))
+            .collect();
+        sources.push(("guarded_boxes", GUARDED_BOXES));
+        sources.push(("fragile_boxes", FRAGILE_BOXES));
+        let (mut errors, mut fast, mut full_evals) = (0, 0, 0);
+        for (name, source) in sources {
+            let program = Program::parse(source).expect("parses");
+            let dragged = LiveSync::new(program.clone(), LiveConfig::default()).expect("prepares");
+            let previewed =
+                LiveSync::new(program.clone(), LiveConfig::default()).expect("prepares");
+            let full = full_session(program);
+            let active: Vec<(ShapeId, Zone)> = dragged
+                .assignments()
+                .zones
+                .iter()
+                .filter(|z| z.is_active())
+                .map(|z| (z.shape, z.zone))
+                .collect();
+            let mut rng = Rng(0xD4A6 ^ name.len() as u64);
+            // Small seeded drags, then the first zone far right and left.
+            let mut drags: Vec<(ShapeId, Zone, f64, f64)> = (0..12)
+                .map(|_| {
+                    let (shape, zone) = active[rng.below(active.len())];
+                    (shape, zone, rng.offset() * 0.25, rng.offset() * 0.25)
+                })
+                .collect();
+            drags.push((active[0].0, active[0].1, 500.0, 0.0));
+            drags.push((active[0].0, active[0].1, -500.0, 0.0));
+            for (shape, zone, dx, dy) in drags {
+                let trigger = dragged.trigger(shape, zone).expect("active zone");
+                let fire = trigger.fire(
+                    &dragged.program().subst(),
+                    dx,
+                    dy,
+                    sns_sync::SolverChoice::default(),
+                );
+                let a = dragged.drag(shape, zone, dx, dy);
+                let b = full.drag(shape, zone, dx, dy);
+                let c = previewed.preview_canvas(&fire.subst);
+                assert_eq!(
+                    a.is_ok(),
+                    b.is_ok(),
+                    "{name}: drag outcome differs from the full path: {a:?} vs {b:?}"
+                );
+                assert_eq!(
+                    a.is_ok(),
+                    c.is_ok(),
+                    "{name}: drag outcome differs from preview_canvas: {a:?}"
+                );
+                if let (Ok(a), Ok(b)) = (&a, &b) {
+                    assert_eq!(a.subst, b.subst, "{name}: drag updates differ");
+                    assert_eq!(a.subst, fire.subst, "{name}: drag fired differently");
+                }
+                if a.is_err() {
+                    errors += 1;
+                }
+                let (d, p) = (dragged.stats(), previewed.stats());
+                assert_eq!(
+                    (d.fast_evals, d.full_evals),
+                    (p.fast_evals, p.full_evals),
+                    "{name}: drag and preview_canvas took different paths"
+                );
+            }
+            fast += dragged.stats().fast_evals;
+            full_evals += dragged.stats().full_evals;
+        }
+        assert!(errors > 0, "the workload must exercise failing drags");
+        assert!(full_evals > 0, "the workload must exercise full previews");
+        if std::env::var("SNS_FORCE_PREPARE").as_deref() != Ok("full") {
+            assert!(fast > 0, "the workload must exercise patched previews");
         }
     });
 }

@@ -2,9 +2,13 @@
 //! render, prepare, survive a drag of its first active zone, and keep its
 //! code pane and canvas in sync.
 
+mod support;
+
 use sketch_n_sketch::editor::Editor;
 use sketch_n_sketch::eval::Program;
+use sketch_n_sketch::lang::{unparse, unparse_with, LocId, Subst};
 use sketch_n_sketch::svg::Canvas;
+use support::{GenExt, SplitMix64};
 
 #[test]
 fn every_example_opens_and_prepares() {
@@ -62,6 +66,61 @@ fn unparse_reparse_preserves_canvas() {
         let nums1: Vec<f64> = c1.numeric_outputs().iter().map(|n| n.n).collect();
         let nums2: Vec<f64> = c2.numeric_outputs().iter().map(|n| n.n).collect();
         assert_eq!(nums1, nums2, "{}: canvas changed across unparse", ex.slug);
+    }
+}
+
+/// Seeded substitutions over a program's locations: a few user literals,
+/// sometimes a Prelude one, with values of assorted sizes and signs.
+fn seeded_substs(program: &Program, seed: u64) -> Vec<Subst> {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let user: Vec<LocId> = (0..program.next_loc())
+        .map(LocId)
+        .filter(|l| program.loc_info(*l).is_some_and(|i| !i.prelude))
+        .collect();
+    let prelude: Vec<LocId> = (0..program.next_loc())
+        .map(LocId)
+        .filter(|l| program.loc_info(*l).is_some_and(|i| i.prelude))
+        .collect();
+    (0..6)
+        .map(|_| {
+            let mut rho = Subst::new();
+            for _ in 0..1 + rng.index(4) {
+                let pool = if user.is_empty() || rng.index(4) == 0 {
+                    &prelude
+                } else {
+                    &user
+                };
+                let value = match rng.index(3) {
+                    0 => f64::from(rng.u32_in(0, 500)),
+                    1 => rng.f64_in(-1000.0, 1000.0),
+                    _ => rng.f64_in(-1.0, 1.0) * 1e-3,
+                };
+                rho.insert(pool[rng.index(pool.len())], value);
+            }
+            rho
+        })
+        .collect()
+}
+
+#[test]
+fn substituted_unparse_matches_the_applied_copy() {
+    assert_eq!(sketch_n_sketch::examples::ALL.len(), 55);
+    for (i, ex) in sketch_n_sketch::examples::ALL.iter().enumerate() {
+        let program = Program::parse(ex.source).unwrap();
+        for rho in seeded_substs(&program, 0x5EED ^ i as u64) {
+            assert_eq!(
+                unparse_with(program.user_expr(), &rho),
+                unparse(&rho.applied(program.user_expr())),
+                "{}: unparse_with under {rho}",
+                ex.slug
+            );
+            assert_eq!(
+                program.code_with(&rho),
+                program.with_subst(&rho).code(),
+                "{}: code_with under {rho}",
+                ex.slug
+            );
+        }
     }
 }
 
